@@ -9,12 +9,15 @@
 //! [`GATE_WINDOW`] trailing *comparable* records — same `quick` flag and
 //! same `host` for perf runs (numbers from different machines or kernel
 //! sizes are not comparable), same `fault_at_ms` and `host` for
-//! resilience runs. A kernel regresses when its `per_sec` drops more
-//! than [`GATE_THRESHOLD_PCT`] below the baseline median; a resilience
-//! policy regresses when its `out_of_zone_ms` rises more than the same
-//! threshold above it. With fewer than [`GATE_MIN_BASELINE`] comparable
-//! perf baselines the gate reports deltas but cannot fail — a fresh
-//! machine needs a couple of runs to establish its own floor.
+//! resilience runs. Kernels match their baselines on name *and* unit:
+//! a kernel that starts counting something else (calendar events →
+//! delivered packets) has no comparable history, so it re-enters
+//! fail-soft as a new kernel. A kernel regresses when its `per_sec`
+//! drops more than [`GATE_THRESHOLD_PCT`] below the baseline median; a
+//! resilience policy regresses when its `out_of_zone_ms` rises more than
+//! the same threshold above it. With fewer than [`GATE_MIN_BASELINE`]
+//! comparable perf baselines the gate reports deltas but cannot fail —
+//! a fresh machine needs a couple of runs to establish its own floor.
 //!
 //! Parsing is hand-rolled like the writer (no serde, DESIGN §7). Run
 //! records are extracted by brace depth, which doubles as corrupt-tail
@@ -47,6 +50,9 @@ pub enum RecordKind {
 pub struct KernelSample {
     /// Kernel name (`event_churn_wheel`, `mesh_hotspot`, ...).
     pub name: String,
+    /// What the kernel counts (`events`, `packets`, `messages`); empty
+    /// for records written before units were recorded.
+    pub unit: String,
     /// Throughput, higher is better.
     pub per_sec: f64,
 }
@@ -208,6 +214,7 @@ pub fn parse_run(record: &str) -> Option<RunRecord> {
         .filter_map(|obj| {
             Some(KernelSample {
                 name: str_field(obj, "kernel")?,
+                unit: str_field(obj, "unit").unwrap_or_default(),
                 per_sec: num_field(obj, "per_sec")?,
             })
         })
@@ -378,13 +385,13 @@ pub fn gate_trajectory_at(text: &str, threshold_pct: f64) -> GateReport {
                 let base: Vec<f64> = window
                     .iter()
                     .flat_map(|r| &r.kernels)
-                    .filter(|b| b.name == k.name)
+                    .filter(|b| b.name == k.name && b.unit == k.unit)
                     .map(|b| b.per_sec)
                     .collect();
                 if base.is_empty() {
                     report
                         .notes
-                        .push(format!("{}: new kernel, no baseline", k.name));
+                        .push(format!("{} ({}): new kernel, no baseline", k.name, k.unit));
                     continue;
                 }
                 let m = median(base);
@@ -444,13 +451,18 @@ mod tests {
     use super::*;
 
     fn perf_run(host: &str, wheel: f64, mesh: f64) -> String {
+        perf_run_in(host, wheel, mesh, "events")
+    }
+
+    /// [`perf_run`] with the `mesh_hotspot` kernel counting `mesh_unit`.
+    fn perf_run_in(host: &str, wheel: f64, mesh: f64, mesh_unit: &str) -> String {
         format!(
             "    {{\n      \"quick\": true,\n      \"host\": \"{host}\",\n      \
              \"churn_speedup_wheel_over_heap\": 2.000,\n      \
              \"shard_speedup_k4_over_k1\": 1.000,\n      \"kernels\": [\n        \
              {{\"kernel\": \"event_churn_wheel\", \"unit\": \"events\", \"count\": 10, \
              \"wall_s\": 0.5000, \"per_sec\": {wheel:.1}}},\n        \
-             {{\"kernel\": \"mesh_hotspot\", \"unit\": \"events\", \"count\": 10, \
+             {{\"kernel\": \"mesh_hotspot\", \"unit\": \"{mesh_unit}\", \"count\": 10, \
              \"wall_s\": 0.5000, \"per_sec\": {mesh:.1}}}\n      ]\n    }}"
         )
     }
@@ -477,6 +489,37 @@ mod tests {
         assert!(bad.delta_pct < -15.0);
         assert!(report.render().contains("[!!] mesh_hotspot"));
         assert!(report.render().contains("FAIL"));
+    }
+
+    #[test]
+    fn unit_change_enters_as_a_new_kernel() {
+        // mesh_hotspot switches from events/s to packets/s: far fewer
+        // per second, but a different quantity — no baseline, no
+        // regression, and the unchanged kernel still gates as usual.
+        let runs = vec![
+            perf_run("ci", 1000.0, 500_000.0),
+            perf_run("ci", 1010.0, 510_000.0),
+            perf_run("ci", 990.0, 490_000.0),
+            perf_run_in("ci", 1000.0, 12_000.0, "packets"),
+        ];
+        let report = gate_trajectory(&doc(&runs));
+        assert!(!report.failed(), "{}", report.render());
+        assert!(!report.advisory, "three comparable baselines");
+        assert_eq!(report.lines.len(), 1, "only event_churn_wheel compares");
+        assert_eq!(report.lines[0].label, "event_churn_wheel");
+        assert!(report
+            .notes
+            .iter()
+            .any(|n| n == "mesh_hotspot (packets): new kernel, no baseline"));
+        // Once packets/s history exists, the kernel gates on it alone.
+        let mut runs = runs;
+        runs.push(perf_run_in("ci", 1000.0, 12_100.0, "packets"));
+        runs.push(perf_run_in("ci", 1000.0, 6_000.0, "packets"));
+        let report = gate_trajectory(&doc(&runs));
+        assert!(report.failed(), "{}", report.render());
+        let bad = report.lines.iter().find(|l| l.regressed).unwrap();
+        assert_eq!(bad.label, "mesh_hotspot");
+        assert!((bad.baseline - 12_050.0).abs() < 1e-9, "packets/s median");
     }
 
     #[test]
@@ -607,6 +650,7 @@ mod tests {
         assert_eq!(r.host.as_deref(), Some("gh-ci"));
         assert_eq!(r.kernels.len(), 2);
         assert_eq!(r.kernels[0].name, "event_churn_wheel");
+        assert_eq!(r.kernels[0].unit, "events");
         assert!((r.kernels[0].per_sec - 1234.5).abs() < 1e-9);
         let r = parse_run(&resilience_run("x", 2.5, 1.25)).unwrap();
         assert_eq!(r.kind, RecordKind::Resilience);

@@ -12,6 +12,13 @@
 //!   (route tables + packet arena under contention).
 //! * `ft_shuffle` — fabric-level shuffle permutation on the 64-node
 //!   fat-tree (tree route tables, ascending/descending phases).
+//!
+//!   These and the other bare-fabric kernels (`dfly_fabric`,
+//!   `fabric_parallel_*`) count delivered packets, not calendar
+//!   events: an event-protocol change that removes events would
+//!   otherwise read as a slow-down while the wall time falls. The
+//!   gate matches baselines on (kernel, unit), so a unit change
+//!   enters fail-soft as a new kernel.
 //! * `pop_trace` — a full POP application trace under PR-DRB through
 //!   the whole engine stack (policy, ACKs, player).
 //! * `workload_collective` / `workload_phases` / `workload_openloop` —
@@ -45,7 +52,7 @@
 //!   overheads. Event and delivery counts *and* the deterministic
 //!   window/handoff aggregates are cross-checked across shard counts,
 //!   and each record carries window count, average window width and
-//!   barrier-wait time alongside events/s. The headline is the K=4
+//!   barrier-wait time alongside packets/s. The headline is the K=4
 //!   self-relative speedup over K=1; on a single-core host the auto
 //!   backend degenerates to sequential windowing, so the honest number
 //!   there is the windowing overhead (≈1×), not a speedup. On hosts
@@ -97,7 +104,8 @@ use std::time::Instant;
 /// One timed kernel result.
 struct Kernel {
     name: &'static str,
-    /// What `count` counts ("events" or "messages").
+    /// What `count` counts: "events" (calendar kernels), "packets"
+    /// (fabric kernels) or "messages" (engine kernels).
     unit: &'static str,
     count: u64,
     wall_s: f64,
@@ -160,7 +168,7 @@ fn event_churn(kind: QueueKind, ops: u64) -> Kernel {
 
 /// Drive a bare fabric: inject one packet per flow per round, advance
 /// the clock by `gap_ns`, recycle deliveries — the router/NIC hot loop
-/// without policy overhead.
+/// without policy overhead. Counts delivered packets.
 fn fabric_kernel(
     name: &'static str,
     topo: AnyTopology,
@@ -174,6 +182,7 @@ fn fabric_kernel(
     };
     let mut fabric = Fabric::new(topo, net);
     let mut out = Vec::new();
+    let mut delivered = 0u64;
     let t0 = Instant::now();
     let mut now = 0u64;
     for _ in 0..rounds {
@@ -196,19 +205,21 @@ fn fabric_kernel(
         now += gap_ns;
         fabric.run_until(now);
         fabric.take_deliveries(&mut out);
+        delivered += out.len() as u64;
         for d in out.drain(..) {
             fabric.recycle(d.packet);
         }
     }
     fabric.run_to_quiescence(now + 1_000_000_000);
     fabric.take_deliveries(&mut out);
+    delivered += out.len() as u64;
     for d in out.drain(..) {
         fabric.recycle(d.packet);
     }
     Kernel {
         name,
-        unit: "events",
-        count: fabric.events_processed(),
+        unit: "packets",
+        count: delivered,
         wall_s: t0.elapsed().as_secs_f64(),
         shard: None,
     }
@@ -394,11 +405,11 @@ fn dfly_noise_legs(inject_ns: u64) -> Vec<Kernel> {
 }
 
 /// Drive the conservative-parallel fabric through the same hot loop as
-/// [`fabric_kernel`], returning the kernel plus the delivery count for
-/// the cross-shard identity check. The fat-tree spine rides
-/// global-class wires (`wire_class_extra_ns`), so the pod partition's
-/// all-spine cut earns the long-wire delay as lookahead and windows
-/// stay wide enough to amortize the barrier.
+/// [`fabric_kernel`] (counting delivered packets), returning the kernel
+/// plus the calendar event count for the cross-shard identity check.
+/// The fat-tree spine rides global-class wires (`wire_class_extra_ns`),
+/// so the pod partition's all-spine cut earns the long-wire delay as
+/// lookahead and windows stay wide enough to amortize the barrier.
 fn sharded_kernel(
     name: &'static str,
     shards: u32,
@@ -471,12 +482,12 @@ fn sharded_kernel_with(
     let stats = fabric.parallel_stats();
     let k = Kernel {
         name,
-        unit: "events",
-        count: fabric.events_processed(),
+        unit: "packets",
+        count: delivered,
         wall_s,
         shard: Some(stats),
     };
-    (k, delivered)
+    (k, fabric.events_processed())
 }
 
 /// Fat-tree hot-spot corridor at 1, 2 and 4 shards: four sources hammer
@@ -499,13 +510,13 @@ fn fabric_parallel(quick: bool) -> Vec<Kernel> {
         ("fabric_parallel_wide_k2", 2),
         ("fabric_parallel_wide_k4", 4),
     ] {
-        let (k, delivered) = sharded_kernel(name, shards, &flows, rounds, 8_000);
+        let (k, events) = sharded_kernel(name, shards, &flows, rounds, 8_000);
         match reference {
-            None => reference = Some((k.count, delivered)),
-            Some((ev, del)) => {
+            None => reference = Some((events, k.count)),
+            Some(refr) => {
                 assert_eq!(
-                    (k.count, delivered),
-                    (ev, del),
+                    (events, k.count),
+                    refr,
                     "{name}: sharded schedule diverged from K=1"
                 );
             }
@@ -545,13 +556,13 @@ fn fabric_parallel_spec(quick: bool) -> Vec<Kernel> {
         ("fabric_parallel_narrow_k4", 4, SpecConfig::off()),
         ("fabric_parallel_spec_k4", 4, SpecConfig::default()),
     ] {
-        let (k, delivered) = sharded_kernel_with(name, shards, net, spec, &flows, rounds, 8_000);
+        let (k, events) = sharded_kernel_with(name, shards, net, spec, &flows, rounds, 8_000);
         match reference {
-            None => reference = Some((k.count, delivered)),
-            Some((ev, del)) => {
+            None => reference = Some((events, k.count)),
+            Some(refr) => {
                 assert_eq!(
-                    (k.count, delivered),
-                    (ev, del),
+                    (events, k.count),
+                    refr,
                     "{name}: schedule diverged from the K=1 baseline"
                 );
             }
@@ -695,7 +706,7 @@ const CHURN_FLOOR_PER_SEC: f64 = 1_000_000.0;
 /// The wheel must actually beat the heap; slack below the recorded ~2×+
 /// absorbs CI-runner noise.
 const CHURN_SPEEDUP_FLOOR: f64 = 1.2;
-/// K=4 over K=1 events/s floor for the wide-window kernels, enforced
+/// K=4 over K=1 packets/s floor for the wide-window kernels, enforced
 /// only on full (non-`--quick`) runs on hosts with *more than*
 /// [`SHARD_FLOOR_MIN_CORES`] hardware threads — machines without
 /// headroom over the kernel's 4 workers (exactly-4-core shared CI
@@ -708,7 +719,7 @@ pub const SHARD_SPEEDUP_FLOOR: f64 = 1.5;
 /// Core count that must be *exceeded* before [`SHARD_SPEEDUP_FLOOR`]
 /// is enforced — equal to the K=4 kernel's worker count.
 pub const SHARD_FLOOR_MIN_CORES: usize = 4;
-/// Speculative-over-conservative events/s floor at K=4 on the
+/// Speculative-over-conservative packets/s floor at K=4 on the
 /// zero-lookahead kernel. Same enforcement rule as the shard floor
 /// (full runs on hosts with more than [`SHARD_FLOOR_MIN_CORES`] cores;
 /// `PRDRB_SPEC_FLOOR=enforce|off` overrides). Where the floor is
@@ -953,18 +964,18 @@ mod tests {
     }
 
     #[test]
-    fn fabric_kernels_process_events() {
+    fn fabric_kernels_deliver_every_packet() {
+        // Quick sizes: rounds × flows injected, all delivered.
         let k = mesh_hotspot(true);
-        assert!(k.count > 10_000, "events {}", k.count);
+        assert_eq!((k.unit, k.count), ("packets", 80 * 68));
         let k = ft_shuffle(true);
-        assert!(k.count > 10_000, "events {}", k.count);
+        assert_eq!((k.unit, k.count), ("packets", 120 * 62));
     }
 
     #[test]
     fn dfly_kernels_process_work() {
         let k = dfly_fabric(true);
-        assert!(k.count > 10_000, "events {}", k.count);
-        assert_eq!(k.unit, "events");
+        assert_eq!((k.unit, k.count), ("packets", 80 * 81));
         let k = dfly_noise(true);
         assert!(k.count > 0, "messages {}", k.count);
         assert_eq!(k.unit, "messages");
@@ -1063,10 +1074,11 @@ mod tests {
         // `fabric_parallel` asserts event/delivery identity across
         // shard counts internally; a tiny run exercises that check.
         let flows = [(NodeId(0), NodeId(9)), (NodeId(3), NodeId(40))];
-        let (k1, d1) = sharded_kernel("k1", 1, &flows, 5, 8_000);
-        let (k4, d4) = sharded_kernel("k4", 4, &flows, 5, 8_000);
-        assert_eq!((k1.count, d1), (k4.count, d4));
-        assert!(d1 >= 10, "every injected packet delivers, got {d1}");
+        let (k1, e1) = sharded_kernel("k1", 1, &flows, 5, 8_000);
+        let (k4, e4) = sharded_kernel("k4", 4, &flows, 5, 8_000);
+        assert_eq!((e1, k1.count), (e4, k4.count));
+        assert_eq!(k1.unit, "packets");
+        assert_eq!(k1.count, 10, "every injected packet delivers");
         let s1 = k1.shard.expect("sharded kernels carry aggregates");
         let s4 = k4.shard.expect("sharded kernels carry aggregates");
         assert_eq!(s1.handoff_events, 0, "K=1 has no cut to hand off over");
@@ -1088,9 +1100,9 @@ mod tests {
             acks_enabled: false,
             ..NetworkConfig::default()
         };
-        let (kc, dc) = sharded_kernel_with("narrow", 4, net, SpecConfig::off(), &flows, 6, 8_000);
-        let (ks, ds) = sharded_kernel_with("spec", 4, net, SpecConfig::default(), &flows, 6, 8_000);
-        assert_eq!((kc.count, dc), (ks.count, ds));
+        let (kc, ec) = sharded_kernel_with("narrow", 4, net, SpecConfig::off(), &flows, 6, 8_000);
+        let (ks, es) = sharded_kernel_with("spec", 4, net, SpecConfig::default(), &flows, 6, 8_000);
+        assert_eq!((ec, kc.count), (es, ks.count));
         let sc = kc.shard.expect("sharded kernels carry aggregates");
         let ss = ks.shard.expect("sharded kernels carry aggregates");
         assert_eq!(sc.spec_commits + sc.spec_aborts, 0, "off means off");

@@ -203,6 +203,12 @@ struct RouterState {
     /// `i64::MAX / 2` marks terminal-facing ports (infinite sink).
     credits: Vec<[i64; NUM_VCS]>,
     link_busy_until: Vec<Time>,
+    /// One bit per output port: set while a `LinkFree` wake-up for the
+    /// port's current busy period (at `link_busy_until`) is pending.
+    /// Wake-ups are scheduled on demand — only while packets wait
+    /// behind the busy link — so this mask is what keeps the scheduling
+    /// sites from duplicating one.
+    link_wake: u64,
     route_pending: bool,
     last_notify: Vec<Time>,
     rr_cursor: usize,
@@ -227,6 +233,7 @@ impl Clone for RouterState {
             wire_ns: self.wire_ns.clone(),
             credits: self.credits.clone(),
             link_busy_until: self.link_busy_until.clone(),
+            link_wake: self.link_wake,
             route_pending: self.route_pending,
             last_notify: self.last_notify.clone(),
             rr_cursor: self.rr_cursor,
@@ -243,6 +250,7 @@ impl Clone for RouterState {
         self.wire_ns.clone_from(&src.wire_ns);
         self.credits.clone_from(&src.credits);
         self.link_busy_until.clone_from(&src.link_busy_until);
+        self.link_wake = src.link_wake;
         self.route_pending = src.route_pending;
         self.last_notify.clone_from(&src.last_notify);
         self.rr_cursor = src.rr_cursor;
@@ -256,6 +264,9 @@ struct NicState {
     queue: VecDeque<Box<Packet>>,
     credits: [i64; NUM_VCS],
     link_busy_until: Time,
+    /// Set while a `NicTx` wake-up at `link_busy_until` is pending (the
+    /// NIC counterpart of `RouterState::link_wake`).
+    wake: bool,
     /// Propagation delay of the terminal attachment wire.
     wire_ns: Time,
 }
@@ -266,6 +277,7 @@ impl Clone for NicState {
             queue: self.queue.clone(),
             credits: self.credits,
             link_busy_until: self.link_busy_until,
+            wake: self.wake,
             wire_ns: self.wire_ns,
         }
     }
@@ -274,6 +286,7 @@ impl Clone for NicState {
         self.queue.clone_from(&src.queue);
         self.credits = src.credits;
         self.link_busy_until = src.link_busy_until;
+        self.wake = src.wake;
         self.wire_ns = src.wire_ns;
     }
 }
@@ -440,6 +453,7 @@ impl Fabric {
                 wire_ns,
                 credits,
                 link_busy_until: vec![0; ports],
+                link_wake: 0,
                 route_pending: false,
                 last_notify: vec![0; ports],
                 rr_cursor: 0,
@@ -456,6 +470,7 @@ impl Fabric {
                     queue: VecDeque::new(),
                     credits: [cfg.input_buf_bytes as i64; NUM_VCS],
                     link_busy_until: 0,
+                    wake: false,
                     wire_ns,
                 }
             })
@@ -922,7 +937,23 @@ impl Fabric {
             self.clock = entry.time;
             self.dispatch(entry.event);
         }
+        debug_assert!(
+            !self.q.is_empty() || self.no_stranded_packets(),
+            "calendar drained with packets still queued at a link"
+        );
         self.clock
+    }
+
+    /// True when every output queue and every NIC queue is empty. Once
+    /// the calendar has drained nothing can move a queued packet any
+    /// more, so a non-empty queue then is a packet stranded by a
+    /// missing link wake-up. Queues behind dead wires or routers need
+    /// no exemption: they are drained at failure and never refilled.
+    fn no_stranded_packets(&self) -> bool {
+        self.routers
+            .iter()
+            .all(|r| r.out_q.iter().all(VecDeque::is_empty))
+            && self.nics.iter().all(|n| n.queue.is_empty())
     }
 
     /// Swap the accumulated deliveries into `out` (cleared first). The
@@ -1015,8 +1046,21 @@ impl Fabric {
             }
             NetEvent::RouteTick { router } => self.route_tick(router),
             NetEvent::TryTx { router, port } => self.try_tx(router, port),
+            // LinkFree and Credit retry their own port's output. A TryTx
+            // scheduled now would key (kind 2) below theirs (kinds 3, 4),
+            // and every event still pending at this instant keys at or
+            // above the one being dispatched, so it would be the very
+            // next pop: calling `try_tx` in place is exact (DESIGN.md §6,
+            // "Event protocol").
             NetEvent::LinkFree { router, port } => {
-                self.sched(self.clock, NetEvent::TryTx { router, port });
+                let rs = &mut self.routers[router.idx()];
+                // A stale wake-up — the busy period it was scheduled
+                // for ended at this instant and the next packet is
+                // already on the wire — must not clear the current one.
+                if self.clock >= rs.link_busy_until[port.idx()] {
+                    rs.link_wake &= !(1 << port.idx());
+                }
+                self.try_tx(router, port);
             }
             NetEvent::Credit {
                 router,
@@ -1025,7 +1069,7 @@ impl Fabric {
                 bytes,
             } => {
                 self.routers[router.idx()].credits[port.idx()][vc as usize] += bytes as i64;
-                self.sched(self.clock, NetEvent::TryTx { router, port });
+                self.try_tx(router, port);
             }
             NetEvent::NicCredit { node, vc, bytes } => {
                 self.nics[node.idx()].credits[vc as usize] += bytes as i64;
@@ -1037,6 +1081,12 @@ impl Fabric {
     }
 
     fn nic_tx(&mut self, node: NodeId) {
+        let nic = &mut self.nics[node.idx()];
+        if self.clock >= nic.link_busy_until {
+            // The busy period is over, so any wake-up scheduled for it
+            // fires at this instant: this event or a same-key sibling.
+            nic.wake = false;
+        }
         if self.faults.any() && self.faults.router_dead(self.table.nic_attach(node).0) {
             // The attach router is gone: the NIC can reach nothing.
             // Drain the queue, counting every packet as dropped (future
@@ -1058,8 +1108,14 @@ impl Fabric {
             return;
         }
         if self.clock < nic.link_busy_until {
-            // A NicTx is always pending at end-of-serialization while the
-            // link is busy, so no extra retry is needed.
+            // The head waits behind the busy link. Transmits only
+            // schedule a wake-up when the queue is non-empty, so a
+            // packet queued since then makes sure one is pending.
+            if !nic.wake {
+                nic.wake = true;
+                let at = nic.link_busy_until;
+                self.sched(at, NetEvent::NicTx { node });
+            }
             return;
         }
         let vc = (head.route.header_id as usize).min(NUM_VCS - 1);
@@ -1081,8 +1137,13 @@ impl Fabric {
                 packet: pkt,
             },
         );
-        // Link free → try the next queued packet.
-        self.sched(self.clock + ser, NetEvent::NicTx { node });
+        // Link free → try the next queued packet, if one waits; a
+        // later injection wakes the link through the busy branch.
+        let nic = &mut self.nics[node.idx()];
+        nic.wake = !nic.queue.is_empty();
+        if nic.wake {
+            self.sched(self.clock + ser, NetEvent::NicTx { node });
+        }
     }
 
     fn route_tick(&mut self, router: RouterId) {
@@ -1298,8 +1359,15 @@ impl Fabric {
             return;
         };
         if self.clock < rs.link_busy_until[port.idx()] {
-            // A LinkFree event is always pending while the link is busy;
-            // it re-triggers TryTx, so just back off.
+            // The head waits behind the busy link. Transmits only
+            // schedule a LinkFree when the queue is non-empty, so a
+            // packet queued since then makes sure one is pending.
+            let bit = 1 << port.idx();
+            if rs.link_wake & bit == 0 {
+                rs.link_wake |= bit;
+                let at = rs.link_busy_until[port.idx()];
+                self.sched(at, NetEvent::LinkFree { router, port });
+            }
             return;
         }
         let neighbor = self.table.neighbor(router, port);
@@ -1325,8 +1393,17 @@ impl Fabric {
         pkt.path_latency += wait;
         self.sample_contention(router, wait);
         let ser = self.cfg.ser_ns(pkt.size);
-        self.routers[router.idx()].link_busy_until[port.idx()] = self.clock + ser;
-        self.sched(self.clock + ser, NetEvent::LinkFree { router, port });
+        let rs = &mut self.routers[router.idx()];
+        rs.link_busy_until[port.idx()] = self.clock + ser;
+        // Wake the link at end-of-serialization only when packets still
+        // wait; later arrivals wake it through the busy branch above.
+        let bit = 1 << port.idx();
+        if rs.out_q[port.idx()].is_empty() {
+            rs.link_wake &= !bit;
+        } else {
+            rs.link_wake |= bit;
+            self.sched(self.clock + ser, NetEvent::LinkFree { router, port });
+        }
         // Congestion monitoring: the CFD module fires when the output
         // wait crossed the threshold (only for monitored data packets —
         // control traffic is excluded).
@@ -1334,6 +1411,7 @@ impl Fabric {
             self.monitor_port(router, port, &mut pkt, wait);
         }
         let wire = self.routers[router.idx()].wire_ns[port.idx()];
+        let mut arrives_now = false;
         match neighbor {
             Some(Endpoint::Terminal(n)) => {
                 // Full packet must land before the node consumes it.
@@ -1347,6 +1425,7 @@ impl Fabric {
             }
             Some(Endpoint::Router(nr, np)) => {
                 // Cut-through: header hands off while the tail flows.
+                arrives_now = wire + self.cfg.header_ns == 0;
                 self.sched(
                     self.clock + wire + self.cfg.header_ns,
                     NetEvent::Arrive {
@@ -1359,10 +1438,19 @@ impl Fabric {
             None => panic!("transmitting into the void at {router}:{port}"),
         }
         // Output space freed: the routing stage may move more packets.
+        // A RouteTick scheduled now keys below every pending event of
+        // this instant and below everything this handler scheduled, so
+        // it would be the very next pop and runs in place — unless the
+        // Arrive above lands at this same instant (zero wire + header
+        // delay): its kind-0 key pops first, so the tick must queue.
         let rs = &mut self.routers[router.idx()];
         if !rs.route_pending {
-            rs.route_pending = true;
-            self.sched(self.clock, NetEvent::RouteTick { router });
+            if arrives_now {
+                rs.route_pending = true;
+                self.sched(self.clock, NetEvent::RouteTick { router });
+            } else {
+                self.route_tick(router);
+            }
         }
     }
 
@@ -1523,6 +1611,172 @@ impl Fabric {
         rs.contention.push(us);
         if let Some(series) = rs.series.as_mut() {
             series.push(self.clock, us);
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use prdrb_simcore::time::MILLISECOND;
+    use prdrb_topology::{Mesh2D, TimedFault};
+
+    fn quiet_cfg() -> NetworkConfig {
+        NetworkConfig {
+            acks_enabled: false,
+            ..Default::default()
+        }
+    }
+
+    fn inject(f: &mut Fabric, src: u32, dst: u32, at: Time) {
+        let id = f.alloc_id();
+        let size = f.config().packet_bytes;
+        f.inject(Packet::data(
+            id,
+            NodeId(src),
+            NodeId(dst),
+            size,
+            at,
+            RouteState::new(PathDescriptor::Minimal),
+            0,
+            id,
+            0,
+            true,
+            false,
+        ));
+    }
+
+    /// Delivery times in order, draining the fabric's buffer.
+    fn arrival_times(f: &mut Fabric) -> Vec<Time> {
+        let mut out = Vec::new();
+        f.take_deliveries(&mut out);
+        let mut at: Vec<Time> = out.iter().map(|d| d.at).collect();
+        at.sort_unstable();
+        at
+    }
+
+    fn port_toward(topo: &AnyTopology, a: RouterId, b: RouterId) -> Port {
+        (0..topo.num_ports(a) as u8)
+            .map(Port)
+            .find(|&p| matches!(topo.neighbor(a, p), Some(Endpoint::Router(nr, _)) if nr == b))
+            .expect("adjacent routers")
+    }
+
+    /// Three sources converge on one terminal port. Node 1's packet,
+    /// one hop closer, transmits into an empty queue, so no wake-up is
+    /// scheduled. The packets from nodes 4 and 18, two hops out along
+    /// disjoint paths (east and south), then queue behind the busy link
+    /// and wake it through the busy branch, and the first of them to
+    /// leave schedules the wake-up for the second. Each must leave
+    /// exactly when the link frees: arrivals at the sink are back to
+    /// back, one serialization apart.
+    #[test]
+    fn queued_packets_leave_exactly_when_the_link_frees() {
+        let mut f = Fabric::new(AnyTopology::mesh8x8(), quiet_cfg());
+        for src in [1, 4, 18] {
+            inject(&mut f, src, 2, 0);
+        }
+        let ser = f.config().ser_ns(f.config().packet_bytes);
+        let sink = f.topology().terminal_port(NodeId(2));
+        let r2 = f.topology().router_of(NodeId(2)).idx();
+        // Node 1's packet is on the sink wire; the others are a hop out.
+        f.run_until(200);
+        let rs = &f.routers[r2];
+        assert!(f.now() < rs.link_busy_until[sink.idx()], "link busy");
+        assert!(rs.out_q[sink.idx()].is_empty());
+        assert_eq!(rs.link_wake, 0, "nothing waits, nothing to wake");
+        // Later in the same transmit both packets wait behind it, with
+        // exactly one wake-up pending.
+        f.run_until(2 * ser / 3);
+        let rs = &f.routers[r2];
+        assert!(f.now() < rs.link_busy_until[sink.idx()], "link busy");
+        assert_eq!(rs.out_q[sink.idx()].len(), 2, "two packets queued");
+        assert_eq!(rs.link_wake, 1 << sink.idx(), "one wake-up pending");
+        f.run_to_quiescence(MILLISECOND);
+        let at = arrival_times(&mut f);
+        assert_eq!(at.len(), 3);
+        for w in at.windows(2) {
+            assert_eq!(w[1] - w[0], ser, "back-to-back departures: {at:?}");
+        }
+        assert_eq!(f.routers[r2].link_wake, 0, "every wake-up fired");
+    }
+
+    /// A multi-fragment message leaves its NIC back to back, and a
+    /// fragment queued while the NIC link is busy and its queue empty
+    /// still leaves the instant the link frees.
+    #[test]
+    fn nic_burst_serializes_back_to_back() {
+        let mut f = Fabric::new(AnyTopology::mesh8x8(), quiet_cfg());
+        let ser = f.config().ser_ns(f.config().packet_bytes);
+        for _ in 0..4 {
+            inject(&mut f, 0, 63, 0);
+        }
+        // The fourth fragment is on the wire and the queue is empty: no
+        // wake-up is pending until another fragment queues.
+        f.run_until(3 * ser + 5);
+        assert!(f.nics[0].queue.is_empty());
+        assert!(!f.nics[0].wake);
+        inject(&mut f, 0, 63, 3 * ser + 10);
+        f.run_until(3 * ser + 10);
+        assert!(f.nics[0].wake, "the busy branch scheduled a wake-up");
+        f.run_to_quiescence(MILLISECOND);
+        let at = arrival_times(&mut f);
+        assert_eq!(at.len(), 5);
+        for w in at.windows(2) {
+            assert_eq!(w[1] - w[0], ser, "back-to-back fragments: {at:?}");
+        }
+        assert!(!f.nics[0].wake);
+    }
+
+    /// A wire dies while a wake-up for it is pending: the queue behind
+    /// it drains, the stale wake-up fires harmlessly, and after the
+    /// wire recovers, traffic contending for it flows back to back.
+    #[test]
+    fn link_down_with_pending_wake_up_then_recovery() {
+        let topo = AnyTopology::mesh8x8();
+        let m = Mesh2D::new(8, 8);
+        let (a, b) = (m.at(1, 0), m.at(2, 0));
+        let p = port_toward(&topo, a, b);
+        let (down, up) = (3_000, 50_000);
+        let plan = FaultPlan::new(vec![
+            TimedFault {
+                at: down,
+                fault: FaultEvent::LinkDown { router: a, port: p },
+            },
+            TimedFault {
+                at: up,
+                fault: FaultEvent::LinkUp { router: a, port: p },
+            },
+        ]);
+        let mut f = Fabric::with_faults(topo, quiet_cfg(), plan);
+        // Node 1's packet takes the (1,0)->(2,0) wire first; node 0's
+        // queues behind it.
+        inject(&mut f, 1, 3, 0);
+        inject(&mut f, 0, 3, 0);
+        f.run_until(down - 1);
+        let ra = &f.routers[a.idx()];
+        assert!(!ra.out_q[p.idx()].is_empty(), "a packet waits on the wire");
+        assert_ne!(ra.link_wake & 1 << p.idx(), 0, "its wake-up is pending");
+        f.run_until(up - 1);
+        assert_eq!(f.stats.dropped_data, 1, "the queued packet died");
+        assert_eq!(f.routers[a.idx()].link_wake, 0, "stale wake-up fired");
+        // After recovery: the same contention, twice over.
+        for src in [1, 0, 1, 0] {
+            inject(&mut f, src, 3, up + 1_000);
+        }
+        f.run_to_quiescence(100 * MILLISECOND);
+        assert_eq!(f.stats.offered_data, 6);
+        assert_eq!(f.stats.accepted_data, 5);
+        let at = arrival_times(&mut f);
+        let ser = f.config().ser_ns(f.config().packet_bytes);
+        let after: Vec<Time> = at.into_iter().filter(|&t| t > up).collect();
+        assert_eq!(after.len(), 4);
+        for w in after.windows(2) {
+            assert_eq!(
+                w[1] - w[0],
+                ser,
+                "recovered wire runs back to back: {after:?}"
+            );
         }
     }
 }
