@@ -1,7 +1,7 @@
 //! `repro` — regenerate the paper's tables and figures.
 //!
 //! ```sh
-//! repro list            # all targets
+//! repro list            # all targets (also: repro, repro --help, repro -h)
 //! repro fig4_13         # one target
 //! repro fig4_13 fig4_14 # several
 //! repro all             # everything (rayon-parallel)
@@ -88,7 +88,7 @@ fn main() {
         }
     }
     let targets = registry();
-    if args.is_empty() || args[0] == "list" {
+    if args.is_empty() || matches!(args[0].as_str(), "list" | "--help" | "-h") {
         println!("repro targets ({}):", targets.len());
         for t in &targets {
             println!("  {:<22} {}", t.id, t.title);

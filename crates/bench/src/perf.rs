@@ -91,7 +91,9 @@ use crate::report;
 use prdrb_apps::pop;
 use prdrb_core::PolicyKind;
 use prdrb_engine::{RunReport, SimConfig, TopologyKind};
-use prdrb_network::{Fabric, NetworkConfig, Packet, ParallelStats, ShardedFabric, SpecConfig};
+use prdrb_network::{
+    Fabric, NetworkConfig, Packet, ParallelStats, ShardedFabric, SpecConfig, EVENT_KINDS,
+};
 use prdrb_simcore::time::{MICROSECOND, MILLISECOND};
 use prdrb_simcore::{EventQueue, QueueKind};
 use prdrb_topology::{AnyTopology, NodeId, PathDescriptor, RouteState};
@@ -111,6 +113,9 @@ struct Kernel {
     wall_s: f64,
     /// Window/handoff/steal aggregates for sharded kernels.
     shard: Option<ParallelStats>,
+    /// Calendar dispatches per event kind (bare-fabric kernels), named
+    /// by [`EVENT_KINDS`].
+    events: Option<[u64; EVENT_KINDS.len()]>,
 }
 
 impl Kernel {
@@ -163,6 +168,7 @@ fn event_churn(kind: QueueKind, ops: u64) -> Kernel {
         count: ops,
         wall_s,
         shard: None,
+        events: None,
     }
 }
 
@@ -222,6 +228,7 @@ fn fabric_kernel(
         count: delivered,
         wall_s: t0.elapsed().as_secs_f64(),
         shard: None,
+        events: Some(fabric.stats.events),
     }
 }
 
@@ -282,6 +289,7 @@ fn engine_kernel_report(name: &'static str, cfg: SimConfig) -> (Kernel, RunRepor
         count: r.messages,
         wall_s: t0.elapsed().as_secs_f64(),
         shard: None,
+        events: None,
     };
     (k, r)
 }
@@ -486,6 +494,7 @@ fn sharded_kernel_with(
         count: delivered,
         wall_s,
         shard: Some(stats),
+        events: None,
     };
     (k, fabric.events_processed())
 }
@@ -620,14 +629,28 @@ fn to_json(
             ),
             None => String::new(),
         };
+        // Last in the object: the gate reads a kernel's fields up to
+        // the first closing brace, which this nested object ends.
+        let events = match &k.events {
+            Some(ev) => {
+                let fields: Vec<String> = EVENT_KINDS
+                    .iter()
+                    .zip(ev)
+                    .map(|(name, n)| format!("\"{name}\": {n}"))
+                    .collect();
+                format!(", \"events\": {{{}}}", fields.join(", "))
+            }
+            None => String::new(),
+        };
         out.push_str(&format!(
-            "        {{\"kernel\": \"{}\", \"unit\": \"{}\", \"count\": {}, \"wall_s\": {:.4}, \"per_sec\": {:.1}{}}}{}\n",
+            "        {{\"kernel\": \"{}\", \"unit\": \"{}\", \"count\": {}, \"wall_s\": {:.4}, \"per_sec\": {:.1}{}{}}}{}\n",
             k.name,
             k.unit,
             k.count,
             k.wall_s,
             k.per_sec(),
             shard,
+            events,
             if i + 1 < kernels.len() { "," } else { "" }
         ));
     }
@@ -968,6 +991,11 @@ mod tests {
         // Quick sizes: rounds × flows injected, all delivered.
         let k = mesh_hotspot(true);
         assert_eq!((k.unit, k.count), ("packets", 80 * 68));
+        // ACKs are off, so every Deliver dispatch is one counted packet;
+        // transmit attempts run in per-router batches, never calendared.
+        let ev = k.events.expect("fabric kernels count events");
+        assert_eq!(ev[7], k.count, "{EVENT_KINDS:?} = {ev:?}");
+        assert_eq!(ev[2], 0, "no TryTx dispatches: {ev:?}");
         let k = ft_shuffle(true);
         assert_eq!((k.unit, k.count), ("packets", 120 * 62));
     }
@@ -1000,6 +1028,7 @@ mod tests {
                 count: 10,
                 wall_s: 0.5,
                 shard: None,
+                events: Some([3, 1, 0, 1, 2, 0, 1, 3]),
             },
             Kernel {
                 name: "fabric_parallel_wide_k4",
@@ -1017,6 +1046,7 @@ mod tests {
                     spec_replays: 2,
                     spec_depth_sum: 12,
                 }),
+                events: None,
             },
         ];
         let run = to_json(&kernels, 2.0, 0.98, 1.7, true);
@@ -1034,6 +1064,10 @@ mod tests {
         assert!(doc.contains("\"spec_aborts\": 1"));
         assert!(doc.contains("\"spec_replays\": 2"));
         assert!(doc.contains("\"spec_depth_sum\": 12"));
+        assert!(doc.contains(
+            "\"per_sec\": 20.0, \"events\": {\"Arrive\": 3, \"RouteTick\": 1, \"TryTx\": 0, \
+             \"LinkFree\": 1, \"Credit\": 2, \"NicCredit\": 0, \"NicTx\": 1, \"Deliver\": 3}}"
+        ));
         assert!(!doc.contains(",\n  ]"), "no trailing comma:\n{doc}");
         // The gate parser must still see both kernels' per_sec fields.
         let parsed = crate::analysis::parse_run(&split_runs(&doc)[0]).unwrap();
@@ -1049,6 +1083,7 @@ mod tests {
             count: 10,
             wall_s: 0.5,
             shard: None,
+            events: None,
         }];
         let first = trajectory_json(&[], &to_json(&kernels, 2.0, 1.0, 1.0, true));
         let second = trajectory_json(&split_runs(&first), &to_json(&kernels, 2.1, 1.1, 1.0, true));

@@ -68,3 +68,31 @@ fn list_names_targets_and_flags() {
         assert!(stdout.contains(needle), "missing `{needle}`:\n{stdout}");
     }
 }
+
+/// `--help` and `-h` print the usage line and the target list, like
+/// `repro list`, and exit 0; an unknown target still exits 2.
+#[test]
+fn help_flags_print_usage_and_targets() {
+    let list = Command::new(env!("CARGO_BIN_EXE_repro"))
+        .arg("list")
+        .output()
+        .expect("run repro");
+    for flag in ["--help", "-h"] {
+        let out = Command::new(env!("CARGO_BIN_EXE_repro"))
+            .arg(flag)
+            .output()
+            .expect("run repro");
+        let stdout = String::from_utf8_lossy(&out.stdout);
+        assert!(out.status.success(), "`repro {flag}` failed: {out:?}");
+        assert!(stdout.contains("usage: repro"), "no usage:\n{stdout}");
+        assert_eq!(
+            out.stdout, list.stdout,
+            "`repro {flag}` differs from `repro list`"
+        );
+    }
+    let out = Command::new(env!("CARGO_BIN_EXE_repro"))
+        .arg("--bogus")
+        .output()
+        .expect("run repro");
+    assert_eq!(out.status.code(), Some(2), "unknown target: {out:?}");
+}

@@ -74,6 +74,8 @@ const MAGIC: &str = "prdrb-run-cache,v1";
 
 static HITS: AtomicU64 = AtomicU64::new(0);
 static MISSES: AtomicU64 = AtomicU64::new(0);
+/// Sequence for temp-file names: unique per store within the process.
+static TMP_SEQ: AtomicU64 = AtomicU64::new(0);
 
 /// Process-wide cache counters: `(hits, misses)` since start/reset.
 pub fn cache_stats() -> (u64, u64) {
@@ -815,16 +817,25 @@ impl RunCache {
         loaded
     }
 
+    /// A fresh temp-file path for a store of `key`: the process id
+    /// separates processes and a process-wide sequence separates the
+    /// stores of one process, so no two writers ever share the file.
+    fn tmp_path(&self, key: RunKey) -> PathBuf {
+        let seq = TMP_SEQ.fetch_add(1, Ordering::Relaxed);
+        self.dir
+            .join(format!("{key}.{:x}.{seq:x}.tmp", std::process::id()))
+    }
+
     /// Store `report` under `key` (best-effort: I/O errors only cost the
-    /// replay). The write goes to a temp file first and is renamed into
-    /// place, so concurrent writers of the same key — which by
+    /// replay). The write goes to a temp file of its own and is renamed
+    /// into place, so concurrent writers of the same key — which by
     /// construction hold identical content — never expose a torn file.
     pub fn store(&self, key: RunKey, report: &RunReport) {
         if std::fs::create_dir_all(&self.dir).is_err() {
             return;
         }
         let target = self.path(key);
-        let tmp = self.dir.join(format!("{key}.{:x}.tmp", std::process::id()));
+        let tmp = self.tmp_path(key);
         if std::fs::write(&tmp, report_to_csv(key, report)).is_ok() {
             let _ = std::fs::rename(&tmp, &target);
         }
@@ -1082,6 +1093,52 @@ mod tests {
         let clone = cache.clone();
         assert!(clone.load(key).is_some());
         assert_eq!(cache.stats(), (2, 1));
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn stores_write_distinct_temp_files() {
+        let cache = RunCache::new(std::env::temp_dir());
+        let key = RunKey::of(&cfg());
+        assert_ne!(cache.tmp_path(key), cache.tmp_path(key));
+    }
+
+    /// Sweep workers that run one config store one key at once; every
+    /// load in between must see a whole entry, never a torn one.
+    #[test]
+    fn concurrent_stores_of_one_key_always_load_whole() {
+        let dir = std::env::temp_dir().join(format!("prdrb-race-test-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let cache = RunCache::new(&dir);
+        let key = RunKey::of(&cfg());
+        let report = crate::run(cfg());
+        let expect = report_to_csv(key, &report);
+        // All four threads enter each round's store together. A thread
+        // counts bad loads instead of panicking, so a failure cannot
+        // leave the others waiting at the barrier.
+        let round = std::sync::Barrier::new(4);
+        let bad: usize = std::thread::scope(|s| {
+            let workers: Vec<_> = (0..4)
+                .map(|_| {
+                    s.spawn(|| {
+                        (0..50)
+                            .filter(|_| {
+                                round.wait();
+                                cache.store(key, &report);
+                                cache.load(key).map(|r| report_to_csv(key, &r)).as_ref()
+                                    != Some(&expect)
+                            })
+                            .count()
+                    })
+                })
+                .collect();
+            workers
+                .into_iter()
+                .map(|w| w.join().expect("store worker"))
+                .sum()
+        });
+        assert_eq!(bad, 0, "loads that were torn or missing");
+        assert_eq!(cache.stats(), (200, 0));
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -357,7 +357,15 @@ impl Simulation {
     }
 
     /// Run to completion and produce the report.
-    pub fn run(mut self) -> RunReport {
+    pub fn run(self) -> RunReport {
+        self.run_with_fabric_stats().0
+    }
+
+    /// [`Self::run`], also returning the fabric's cumulative counters —
+    /// among them the per-kind calendar dispatch counts, which are host
+    /// cost, not model output, and so stay out of the report (and with
+    /// it out of the run cache).
+    pub fn run_with_fabric_stats(mut self) -> (RunReport, FabricStats) {
         let max = self.cfg.max_ns;
         let mut truncated = false;
         loop {
@@ -704,7 +712,7 @@ impl Simulation {
         self.fabric.recycle(pkt);
     }
 
-    fn finish(mut self, truncated: bool) -> RunReport {
+    fn finish(mut self, truncated: bool) -> (RunReport, FabricStats) {
         // Drain leftover control traffic for final accounting.
         self.fabric.run_to_quiescence(self.cfg.max_ns);
         self.pump_deliveries();
@@ -746,7 +754,7 @@ impl Simulation {
             .as_ref()
             .and_then(|p| p.all_done().then(|| p.finish_time()));
         let stats = self.fabric.stats();
-        RunReport {
+        let report = RunReport {
             quantiles: self.quantiles.clone(),
             label: if self.cfg.label.is_empty() {
                 format!("{} on {}", self.policy.name(), self.topo.label())
@@ -769,7 +777,8 @@ impl Simulation {
             policy_stats: self.policy.stats(),
             end_ns: self.fabric.now(),
             truncated,
-        }
+        };
+        (report, stats)
     }
 }
 

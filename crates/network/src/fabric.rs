@@ -98,6 +98,37 @@ enum NetEvent {
     Deliver { node: NodeId, packet: Box<Packet> },
 }
 
+impl NetEvent {
+    /// Index of this event's kind in [`EVENT_KINDS`] — also the 3-bit
+    /// kind field of its calendar key.
+    #[inline]
+    fn kind(&self) -> usize {
+        match self {
+            NetEvent::Arrive { .. } => 0,
+            NetEvent::RouteTick { .. } => 1,
+            NetEvent::TryTx { .. } => 2,
+            NetEvent::LinkFree { .. } => 3,
+            NetEvent::Credit { .. } => 4,
+            NetEvent::NicCredit { .. } => 5,
+            NetEvent::NicTx { .. } => 6,
+            NetEvent::Deliver { .. } => 7,
+        }
+    }
+}
+
+/// Names of the fabric's calendar event kinds, in key order: the
+/// indices of [`FabricStats::events`].
+pub const EVENT_KINDS: [&str; 8] = [
+    "Arrive",
+    "RouteTick",
+    "TryTx",
+    "LinkFree",
+    "Credit",
+    "NicCredit",
+    "NicTx",
+    "Deliver",
+];
+
 /// 29-bit packet-id signature for event keys: the two id-class bits
 /// (plain / ACK / GPA) followed by the low 27 id bits. Distinct packets
 /// that could meet at one (entity, instant) always differ in it — host
@@ -209,6 +240,12 @@ struct RouterState {
     /// behind the busy link — so this mask is what keeps the scheduling
     /// sites from duplicating one.
     link_wake: u64,
+    /// One bit per output port: a transmit attempt owed to the port at
+    /// the current instant. Set where the scheduled protocol would
+    /// calendar a same-instant `TryTx`, drained lowest port first at
+    /// the end of the dispatch that set it (DESIGN.md §6, "Event
+    /// protocol"), so it is empty between dispatches.
+    tx_pending: u64,
     route_pending: bool,
     last_notify: Vec<Time>,
     rr_cursor: usize,
@@ -234,6 +271,7 @@ impl Clone for RouterState {
             credits: self.credits.clone(),
             link_busy_until: self.link_busy_until.clone(),
             link_wake: self.link_wake,
+            tx_pending: self.tx_pending,
             route_pending: self.route_pending,
             last_notify: self.last_notify.clone(),
             rr_cursor: self.rr_cursor,
@@ -251,6 +289,7 @@ impl Clone for RouterState {
         self.credits.clone_from(&src.credits);
         self.link_busy_until.clone_from(&src.link_busy_until);
         self.link_wake = src.link_wake;
+        self.tx_pending = src.tx_pending;
         self.route_pending = src.route_pending;
         self.last_notify.clone_from(&src.last_notify);
         self.rr_cursor = src.rr_cursor;
@@ -313,6 +352,12 @@ pub struct FabricStats {
     /// Control packets (ACKs, predictive notifications) lost the same
     /// ways.
     pub dropped_ctrl: u64,
+    /// Calendar events dispatched, per kind ([`EVENT_KINDS`] names the
+    /// indices). A host-side cost counter, not model output: it is the
+    /// same under both calendar backends and at every shard count, but
+    /// event-protocol changes lower it on purpose. Fault-plan events
+    /// never enter the calendar, so they have no entry.
+    pub events: [u64; EVENT_KINDS.len()],
 }
 
 /// A copy of one shard fabric's observable execution state, taken at a
@@ -357,6 +402,13 @@ pub struct Fabric {
     cand_scratch: Vec<Port>,
     /// Scratch for notified sources (router-based scheme).
     src_scratch: Vec<NodeId>,
+    /// True when a hop can take zero time: `wire_delay_ns` and
+    /// `header_ns` are both zero (class extras only add to the wire). A
+    /// transmitted header may then arrive at the instant it leaves, and
+    /// its kind-0 `Arrive` keys below every pending event of that
+    /// instant, so no same-instant follow-up may run ahead of it: every
+    /// fold of the event protocol takes the scheduled path instead.
+    zero_hop: bool,
     /// Present when this fabric is one shard of a partitioned run:
     /// events bound for routers/NICs of other shards are staged in the
     /// outbox instead of entering the local calendar.
@@ -454,6 +506,7 @@ impl Fabric {
                 credits,
                 link_busy_until: vec![0; ports],
                 link_wake: 0,
+                tx_pending: 0,
                 route_pending: false,
                 last_notify: vec![0; ports],
                 rr_cursor: 0,
@@ -492,6 +545,7 @@ impl Fabric {
             pool: PacketPool::new(),
             cand_scratch: Vec::with_capacity(8),
             src_scratch: Vec::with_capacity(8),
+            zero_hop: cfg.wire_delay_ns == 0 && cfg.header_ns == 0,
             shard,
             fault_plan,
             fault_cursor: 0,
@@ -999,6 +1053,7 @@ impl Fabric {
     }
 
     fn dispatch(&mut self, ev: NetEvent) {
+        self.stats.events[ev.kind()] += 1;
         // Dirty stamp for incremental checkpoints. Every event mutates
         // at most its own target's router/NIC state — forwarding and
         // credit return reach *other* entities only by scheduling
@@ -1010,7 +1065,10 @@ impl Fabric {
             | NetEvent::RouteTick { router }
             | NetEvent::TryTx { router, .. }
             | NetEvent::LinkFree { router, .. }
-            | NetEvent::Credit { router, .. } => self.touch_rtr[router.idx()] = self.chk_epoch,
+            | NetEvent::Credit { router, .. } => {
+                debug_assert_eq!(self.routers[router.idx()].tx_pending, 0, "undrained batch");
+                self.touch_rtr[router.idx()] = self.chk_epoch;
+            }
             NetEvent::NicCredit { node, .. }
             | NetEvent::NicTx { node }
             | NetEvent::Deliver { node, .. } => self.touch_nic[node.idx()] = self.chk_epoch,
@@ -1044,7 +1102,10 @@ impl Fabric {
                     );
                 }
             }
-            NetEvent::RouteTick { router } => self.route_tick(router),
+            NetEvent::RouteTick { router } => {
+                self.route_tick(router);
+                self.drain_tx(router);
+            }
             NetEvent::TryTx { router, port } => self.try_tx(router, port),
             // LinkFree and Credit retry their own port's output. A TryTx
             // scheduled now would key (kind 2) below theirs (kinds 3, 4),
@@ -1061,6 +1122,7 @@ impl Fabric {
                     rs.link_wake &= !(1 << port.idx());
                 }
                 self.try_tx(router, port);
+                self.drain_tx(router);
             }
             NetEvent::Credit {
                 router,
@@ -1070,10 +1132,19 @@ impl Fabric {
             } => {
                 self.routers[router.idx()].credits[port.idx()][vc as usize] += bytes as i64;
                 self.try_tx(router, port);
+                self.drain_tx(router);
             }
+            // The NicTx a credit would schedule keys (kind 6) above the
+            // credits still pending on the NIC's other VCs. `nic_tx`
+            // gates only on the head packet's VC, so sending between
+            // two credits ends in the same state as sending after both.
             NetEvent::NicCredit { node, vc, bytes } => {
                 self.nics[node.idx()].credits[vc as usize] += bytes as i64;
-                self.sched(self.clock, NetEvent::NicTx { node });
+                if self.zero_hop {
+                    self.sched(self.clock, NetEvent::NicTx { node });
+                } else {
+                    self.nic_tx(node);
+                }
             }
             NetEvent::NicTx { node } => self.nic_tx(node),
             NetEvent::Deliver { node, packet } => self.deliver(node, packet),
@@ -1143,6 +1214,39 @@ impl Fabric {
         nic.wake = !nic.queue.is_empty();
         if nic.wake {
             self.sched(self.clock + ser, NetEvent::NicTx { node });
+        }
+    }
+
+    /// Run the transmit attempts owed to `router` at this instant,
+    /// lowest port first — the order in which the calendar would pop
+    /// their `TryTx` events. The mask is re-read after every attempt:
+    /// `try_tx`'s in-place routing stage can owe ports again, lower
+    /// ones included, and a lower-port `TryTx` scheduled then would be
+    /// the very next pop. The events keyed between a router's dispatch
+    /// and its `TryTx` slot belong to other routers, touch disjoint
+    /// state and schedule only content-keyed events, so running the
+    /// batch early commutes with them (DESIGN.md §6, "Event protocol").
+    fn drain_tx(&mut self, router: RouterId) {
+        loop {
+            let rs = &mut self.routers[router.idx()];
+            let owed = rs.tx_pending;
+            if owed == 0 {
+                return;
+            }
+            rs.tx_pending = owed & (owed - 1);
+            self.try_tx(router, Port(owed.trailing_zeros() as u8));
+        }
+    }
+
+    /// Owe `router` a transmit attempt on `port` at this instant: a bit
+    /// in the router's batch, or a calendared `TryTx` when hops can take
+    /// zero time.
+    #[inline]
+    fn owe_tx(&mut self, router: RouterId, port: Port) {
+        if self.zero_hop {
+            self.sched(self.clock, NetEvent::TryTx { router, port });
+        } else {
+            self.routers[router.idx()].tx_pending |= 1 << port.idx();
         }
     }
 
@@ -1305,7 +1409,7 @@ impl Fabric {
             ),
             None => {}
         }
-        self.sched(self.clock, NetEvent::TryTx { router, port: out });
+        self.owe_tx(router, out);
         true
     }
 
@@ -1411,7 +1515,6 @@ impl Fabric {
             self.monitor_port(router, port, &mut pkt, wait);
         }
         let wire = self.routers[router.idx()].wire_ns[port.idx()];
-        let mut arrives_now = false;
         match neighbor {
             Some(Endpoint::Terminal(n)) => {
                 // Full packet must land before the node consumes it.
@@ -1425,7 +1528,6 @@ impl Fabric {
             }
             Some(Endpoint::Router(nr, np)) => {
                 // Cut-through: header hands off while the tail flows.
-                arrives_now = wire + self.cfg.header_ns == 0;
                 self.sched(
                     self.clock + wire + self.cfg.header_ns,
                     NetEvent::Arrive {
@@ -1440,12 +1542,12 @@ impl Fabric {
         // Output space freed: the routing stage may move more packets.
         // A RouteTick scheduled now keys below every pending event of
         // this instant and below everything this handler scheduled, so
-        // it would be the very next pop and runs in place — unless the
-        // Arrive above lands at this same instant (zero wire + header
-        // delay): its kind-0 key pops first, so the tick must queue.
+        // it would be the very next pop and runs in place — unless hops
+        // can take zero time: an Arrive above may then land at this
+        // same instant, its kind-0 key pops first, so the tick queues.
         let rs = &mut self.routers[router.idx()];
         if !rs.route_pending {
-            if arrives_now {
+            if self.zero_hop {
                 rs.route_pending = true;
                 self.sched(self.clock, NetEvent::RouteTick { router });
             } else {
@@ -1558,7 +1660,7 @@ impl Fabric {
         let rs = &mut self.routers[router.idx()];
         rs.out_bytes[out.idx()] += boxed.size;
         rs.out_q[out.idx()].push_back(boxed);
-        self.sched(self.clock, NetEvent::TryTx { router, port: out });
+        self.owe_tx(router, out);
     }
 
     fn deliver(&mut self, node: NodeId, mut packet: Box<Packet>) {
@@ -1571,7 +1673,19 @@ impl Fabric {
                     let id = packet.id | ACK_ID_FLAG;
                     let ack = Packet::ack_for(&mut packet, id, self.clock, self.cfg.ack_bytes);
                     self.stats.acks_sent += 1;
-                    self.inject2(ack);
+                    if self.zero_hop || ack.src == ack.dst {
+                        self.inject2(ack);
+                    } else {
+                        // The ACK's NicTx would key (kind 6) below this
+                        // Deliver (kind 7) at this instant: the very
+                        // next pop, so it runs in place. A host send
+                        // queued at this NIC afterwards finds the link
+                        // busy and schedules the same wake-up the
+                        // calendared NicTx would have.
+                        let boxed = self.pool.boxed(ack);
+                        self.nics[node.idx()].queue.push_back(boxed);
+                        self.nic_tx(node);
+                    }
                 }
             }
             PacketKind::Ack { .. } => {
@@ -1660,6 +1774,59 @@ mod tests {
             .map(Port)
             .find(|&p| matches!(topo.neighbor(a, p), Some(Endpoint::Router(nr, _)) if nr == b))
             .expect("adjacent routers")
+    }
+
+    /// `NetEvent::kind` indexes `FabricStats::events` by the same kind
+    /// field the calendar key carries, so the counters name what the
+    /// calendar orders.
+    #[test]
+    fn event_kind_is_the_key_kind_field() {
+        let pkt = || {
+            Box::new(Packet::data(
+                1,
+                NodeId(0),
+                NodeId(1),
+                1024,
+                0,
+                RouteState::new(PathDescriptor::Minimal),
+                0,
+                1,
+                0,
+                true,
+                false,
+            ))
+        };
+        let (router, port, node) = (RouterId(3), Port(2), NodeId(5));
+        let events = [
+            NetEvent::Arrive {
+                router,
+                port,
+                packet: pkt(),
+            },
+            NetEvent::RouteTick { router },
+            NetEvent::TryTx { router, port },
+            NetEvent::LinkFree { router, port },
+            NetEvent::Credit {
+                router,
+                port,
+                vc: 1,
+                bytes: 64,
+            },
+            NetEvent::NicCredit {
+                node,
+                vc: 1,
+                bytes: 64,
+            },
+            NetEvent::NicTx { node },
+            NetEvent::Deliver {
+                node,
+                packet: pkt(),
+            },
+        ];
+        for (i, ev) in events.iter().enumerate() {
+            assert_eq!(ev.kind(), i, "{}", EVENT_KINDS[i]);
+            assert_eq!((event_key(ev) >> 61) as usize, i, "{}", EVENT_KINDS[i]);
+        }
     }
 
     /// Three sources converge on one terminal port. Node 1's packet,

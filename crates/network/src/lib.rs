@@ -23,7 +23,7 @@ pub mod wire;
 mod wsdeque;
 
 pub use config::{MonitorConfig, NetworkConfig, NotifyMode};
-pub use fabric::{Delivery, Fabric, FabricStats, NUM_VCS};
+pub use fabric::{Delivery, Fabric, FabricStats, EVENT_KINDS, NUM_VCS};
 pub use monitor::{contending_flows, dedup_sources, Contender};
 pub use packet::{FlowPair, Packet, PacketKind, PredictiveHeader};
 pub use pool::PacketPool;

@@ -1032,6 +1032,9 @@ impl ShardedFabric {
             total.notifications += s.notifications;
             total.dropped_data += s.dropped_data;
             total.dropped_ctrl += s.dropped_ctrl;
+            for (t, n) in total.events.iter_mut().zip(s.events) {
+                *t += n;
+            }
         }
         total
     }

@@ -133,12 +133,7 @@ impl<E: Eq> Wheel<E> {
     fn insert(&mut self, entry: EventEntry<E>) {
         let tick = entry.time >> GRANULARITY_BITS;
         if tick <= self.cur_tick {
-            // At or behind the cursor: merge into the sorted active run.
-            let key = (entry.time, entry.key, entry.seq);
-            let pos = self
-                .active
-                .partition_point(|e| (e.time, e.key, e.seq) > key);
-            self.active.insert(pos, entry);
+            self.insert_active(entry);
             return;
         }
         for l in 0..LEVELS {
@@ -152,6 +147,25 @@ impl<E: Eq> Wheel<E> {
             }
         }
         self.overflow.push(Reverse(entry));
+    }
+
+    /// Merge an event at or behind the cursor into the sorted active
+    /// run. The run is short and a new event almost always sorts near
+    /// its back (the minimum end), so a scan from the back beats a
+    /// binary search. Sequence numbers are unique, so no two entries
+    /// compare equal.
+    #[inline]
+    fn insert_active(&mut self, entry: EventEntry<E>) {
+        let key = (entry.time, entry.key, entry.seq);
+        let mut pos = self.active.len();
+        while pos > 0 {
+            let e = &self.active[pos - 1];
+            if (e.time, e.key, e.seq) > key {
+                break;
+            }
+            pos -= 1;
+        }
+        self.active.insert(pos, entry);
     }
 
     /// True when `time` fits under the wheel's current horizon.
@@ -238,11 +252,7 @@ impl<E: Eq> Wheel<E> {
             let mut pending = std::mem::take(&mut self.scratch);
             for e in pending.drain(..) {
                 debug_assert_eq!(e.time >> GRANULARITY_BITS, self.cur_tick);
-                let key = (e.time, e.key, e.seq);
-                let pos = self
-                    .active
-                    .partition_point(|x| (x.time, x.key, x.seq) > key);
-                self.active.insert(pos, e);
+                self.insert_active(e);
             }
             self.scratch = pending;
         }

@@ -9,20 +9,33 @@
 //! The heap backend exercises none of the wheel/cascade machinery, so
 //! agreement here pins the optimized paths to the reference semantics.
 //!
+//! The per-kind calendar dispatch counts (`FabricStats::events`) must
+//! agree across the same variants: they are deterministic host-cost
+//! counters, summed over shards.
+//!
 //! Digests are compared between backends inside one process rather than
 //! against hardcoded constants: latency math goes through `ln()`, whose
 //! last-ULP behaviour is platform-dependent, so a stored digest would
 //! couple the test to one libm build.
 
 use pr_drb::engine::cache::report_to_csv;
-use pr_drb::engine::RunKey;
+use pr_drb::engine::{RunKey, Simulation};
+use pr_drb::network::EVENT_KINDS;
 use pr_drb::prelude::*;
 use pr_drb::simcore::QueueKind;
+
+/// Run `cfg` to completion, returning the report and the fabric's
+/// per-kind calendar dispatch counts.
+fn run_counted(cfg: SimConfig) -> (RunReport, [u64; EVENT_KINDS.len()]) {
+    let (report, stats) = Simulation::new(cfg).run_with_fabric_stats();
+    (report, stats.events)
+}
 
 /// Run `cfg` under both calendar backends and at 1/2/3/4/8 fabric
 /// shards (non-divisor counts included — uneven partitions must not
 /// perturb a bit); assert the cache keys and the canonical CSV reports
-/// agree byte for byte across every execution variant.
+/// agree byte for byte across every execution variant, and that every
+/// variant dispatches the same number of calendar events of each kind.
 fn assert_backend_invariant(label: &str, cfg: SimConfig) {
     let mut heap_cfg = cfg.clone();
     heap_cfg.net.queue = QueueKind::Heap;
@@ -33,7 +46,7 @@ fn assert_backend_invariant(label: &str, cfg: SimConfig) {
         kh, kw,
         "{label}: the calendar backend must not enter the run-cache key"
     );
-    let heap = run(heap_cfg);
+    let (heap, ref_events) = run_counted(heap_cfg);
     let reference = report_to_csv(kh, &heap);
     for shards in [1u32, 2, 3, 4, 8] {
         let mut cfg = wheel_cfg.clone();
@@ -43,12 +56,17 @@ fn assert_backend_invariant(label: &str, cfg: SimConfig) {
             kh,
             "{label}: the shard count must not enter the run-cache key"
         );
-        let report = run(cfg);
+        let (report, events) = run_counted(cfg);
         assert_eq!(
             report_to_csv(kw, &report),
             reference,
             "{label}: wheel-backed run at shards={shards} diverged from \
              the heap reference"
+        );
+        assert_eq!(
+            events, ref_events,
+            "{label}: per-kind event counts at shards={shards} differ from \
+             the heap reference ({EVENT_KINDS:?})"
         );
     }
     // Optimistic (checkpoint/rollback) execution legs: speculation may
@@ -70,12 +88,17 @@ fn assert_backend_invariant(label: &str, cfg: SimConfig) {
             kh,
             "{label}: the speculation knob must not enter the run-cache key"
         );
-        let report = run(cfg);
+        let (report, events) = run_counted(cfg);
         assert_eq!(
             report_to_csv(kw, &report),
             reference,
             "{label}: speculative run at shards={shards} ({queue:?}) \
              diverged from the heap reference"
+        );
+        assert_eq!(
+            events, ref_events,
+            "{label}: per-kind event counts of the speculative run at \
+             shards={shards} ({queue:?}) differ from the heap reference"
         );
     }
 }
